@@ -77,6 +77,23 @@ COMBOS = [
     pytest.param(
         Dragonfly(5, 3, 2), "random", "n-body", "fcfs", id="dragonfly-random"
     ),
+    # Every discipline on at least one Clos fabric and one torus.
+    pytest.param(
+        Mesh2D(8, 8, torus=True), "s-curve+ff", "ring", "easy", id="2d-torus-easy"
+    ),
+    pytest.param(
+        Mesh2D(8, 8, torus=True), "s-curve+ff", "ring", "wfq", id="2d-torus-wfq"
+    ),
+    pytest.param(
+        Mesh3D(2, 4, 8, torus=True),
+        "row-major+ff",
+        "all-to-all-broadcast",
+        "drr",
+        id="3d-torus-drr",
+    ),
+    pytest.param(FatTree(4), "rack-aware", "all-to-all", "easy", id="fattree-easy"),
+    pytest.param(Dragonfly(5, 3, 2), "random", "n-body", "easy", id="dragonfly-easy"),
+    pytest.param(Dragonfly(5, 3, 2), "random", "n-body", "drr", id="dragonfly-drr"),
 ]
 
 
