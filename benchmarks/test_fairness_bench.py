@@ -6,7 +6,7 @@ Two claims:
   not simulation -- adding per-tenant slowdown summaries to a warm
   ``run_many`` pass costs <= 5% extra wall time,
 * the fair queueing disciplines stay in the same performance class as
-  the engine-native queue: ``wfq`` and ``drr`` each hold >= half the
+  the plain FIFO: ``wfq`` and ``drr`` each hold >= half the
   ``fcfs`` cells/second on the fig07 all-to-all slice (their policy
   objects are plain deque bookkeeping on the scheduling path, far off
   the simulation's network-dominated critical path).

@@ -1,18 +1,20 @@
-"""Scheduler substrate: FCFS space-sharing simulation (Section 3).
+"""Scheduler substrate: space-sharing job simulation (Section 3).
 
 "Since our focus is on allocation rather than scheduling, we scheduled
 using First Come, First Serve (FCFS) in all our simulations."
 
-:class:`~repro.sched.simulator.Simulation` couples the FCFS queue, an
-allocator, a communication pattern, and the fluid network engine into the
-trace-driven simulator behind Figs 7/8/9/10/11.
+:class:`~repro.sched.simulator.Simulation` couples a queueing discipline
+(FCFS by default; EASY backfilling and the fairness disciplines come from
+:mod:`repro.sched.registry`), an allocator, a communication pattern, and
+the fluid network engine into the trace-driven simulator behind Figs
+7/8/9/10/11.
 """
 
-from repro.sched.events import EventQueue
-from repro.sched.fcfs import FCFSQueue
 from repro.sched.job import Job, JobResult
 from repro.sched.registry import (
     DRRQueue,
+    EASYQueue,
+    FCFSQueue,
     WFQQueue,
     apply_priority,
     class_weight,
@@ -27,8 +29,8 @@ from repro.sched.stats import summarize
 __all__ = [
     "Job",
     "JobResult",
-    "EventQueue",
     "FCFSQueue",
+    "EASYQueue",
     "Simulation",
     "SimulationResult",
     "summarize",

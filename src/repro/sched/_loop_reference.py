@@ -13,9 +13,9 @@ here (they are fixes to the model, not to the vectorisation):
 
 * job results record the *held* processor count, so utilization sees
   page/submesh fragmentation;
-* EASY's ``head_reservation`` refreshes rates before predicting
-  completions, closing the infinite shadow window that let same-event
-  starts (rate still 0.0) disable the backfill guard;
+* the ``reservation`` callback EASY predicts from refreshes rates
+  first, closing the infinite shadow window that let same-event starts
+  (rate still 0.0) disable the backfill guard;
 * arrival batching uses a relative time tolerance, so late arrivals in
   long traces are not glued to the wrong event by an absolute epsilon.
 
@@ -32,7 +32,6 @@ from repro.mesh.machine import Machine
 from repro.network.fluid import max_min_rates
 from repro.network.links import link_space_for
 from repro.network.traffic import build_load_vector, mean_message_hops
-from repro.sched.fcfs import FCFSQueue
 from repro.sched.job import Job, JobResult
 from repro.sched.registry import make_discipline
 
@@ -133,9 +132,8 @@ def run_loop(sim) -> "SimulationResult":
     network = _LoopFluidNetwork(sim.mesh, sim.params)
     # Registry disciplines are shared, pure-Python policy objects; calling
     # the same code at the same event points is what keeps this engine
-    # bit-identical to the vectorised one under wfq/drr.
-    policy = make_discipline(sim.scheduler, sim.jobs)
-    queue = FCFSQueue() if policy is None else policy
+    # bit-identical to the vectorised one under every scheduler.
+    queue = make_discipline(sim.scheduler, sim.jobs)
     active: dict[int, _ActiveJob] = {}
     results: list[JobResult] = []
     spawned = np.random.SeedSequence(sim.seed).spawn(len(sim.jobs))
@@ -182,11 +180,10 @@ def run_loop(sim) -> "SimulationResult":
         for jid, rate in network.rates().items():
             active[jid].rate = rate
 
-    def head_reservation(head: Job) -> tuple[float, int]:
+    def reservation():
         # Fix: jobs started earlier in this event still carry rate 0.0
         # until the end-of-event refresh; predict from fresh rates.
         refresh_rates()
-        free = machine.n_free
         completions = sorted(
             (
                 now + rec.remaining / rec.rate if rec.rate > 0 else float("inf"),
@@ -194,37 +191,7 @@ def run_loop(sim) -> "SimulationResult":
             )
             for rec in active.values()
         )
-        for t, released in completions:
-            free += released
-            if free >= head.size:
-                return t, free - head.size
-        return float("inf"), 0
-
-    def backfill() -> bool:
-        head = queue.head()
-        shadow, spare = head_reservation(head)
-        started = False
-        for job in [j for j in queue][1:]:
-            if job.size > machine.n_free:
-                continue
-            fits_window = now + job.quota <= shadow + _EPS
-            fits_spare = job.size <= spare
-            if (fits_window or fits_spare) and try_start(job):
-                queue.remove(job)
-                started = True
-                shadow, spare = head_reservation(head)
-        return started
-
-    def start_eligible() -> bool:
-        if policy is not None:
-            return policy.start_jobs(try_start)
-        started = False
-        while queue and try_start(queue.head()):
-            queue.pop_head()
-            started = True
-        if queue and sim.scheduler == "easy":
-            started |= backfill()
-        return started
+        return now, machine.n_free, completions
 
     def advance(dt: float) -> None:
         if dt <= 0:
@@ -272,7 +239,7 @@ def run_loop(sim) -> "SimulationResult":
             ):
                 queue.submit(sim.jobs[arr_idx])
                 arr_idx += 1
-            changed |= start_eligible()
+            changed |= queue.start_jobs(try_start, reservation)
 
         finished = [
             jid
@@ -302,7 +269,7 @@ def run_loop(sim) -> "SimulationResult":
             )
             changed = True
         if finished:
-            changed |= start_eligible()
+            changed |= queue.start_jobs(try_start, reservation)
         if changed:
             refresh_rates()
 

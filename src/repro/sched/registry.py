@@ -1,15 +1,18 @@
 """Registry of queueing disciplines and priority policies.
 
 The paper schedules FCFS only ("our focus is on allocation rather than
-scheduling"); the fairness subsystem widens the question to *who* waits
-under contention.  This module is the single source of truth for which
-disciplines exist:
+scheduling"); EASY backfilling and the fairness disciplines widen the
+question to *who* waits under contention.  This module is the single
+source of truth for which disciplines exist and how each one picks the
+jobs to start:
 
-``fcfs`` / ``easy``
-    The original strict-FIFO queue and its EASY-backfill variant.  Both
-    are implemented inside the engines (they need reservation state the
-    queue does not own), so :func:`make_discipline` returns ``None`` and
-    the engine falls back to its built-in path.
+``fcfs``
+    The paper's strict FIFO: the head blocks every later job until it
+    can be placed.
+``easy``
+    EASY backfilling on top of the FIFO: a job behind a blocked head may
+    start when, under the optimistic quota-seconds runtime estimate, it
+    cannot delay the head's capacity reservation.
 ``wfq``
     Weighted fair queueing over priority classes (self-clocked fair
     queueing): each class keeps a FIFO of its jobs; a job arriving in
@@ -27,10 +30,18 @@ disciplines exist:
     can place them.  A tenant that cannot start its head forfeits the
     visit; the pass ends after a full silent lap.
 
-Both new disciplines are plain-Python policy objects shared verbatim by
-the vector and loop engines, which is what keeps the two engines
+Every discipline is a plain-Python policy object shared verbatim by the
+vector and loop engines, which is what keeps the two engines
 bit-identical: the decision sequence is computed by the *same* object at
-the *same* call sites.
+the *same* call sites.  The engines drive them through one contract,
+``start_jobs(try_start, reservation)``:
+
+``try_start(job) -> bool``
+    Place and start ``job`` now, or return False without side effects.
+``reservation() -> (now, free, completions)``
+    Refresh rates, then report the clock, the free-processor count and
+    the running jobs' predicted ``(completion time, held processors)``
+    pairs in ascending order.  Only ``easy`` asks for it.
 
 Priority policies (:func:`apply_priority`) assign ``priority_class`` to
 jobs at spec-build time:
@@ -51,15 +62,103 @@ from repro.sched.job import Job
 
 __all__ = [
     "SCHEDULERS",
+    "DEFAULT_SCHEDULER",
     "scheduler_names",
     "validate_scheduler",
     "make_discipline",
     "class_weight",
     "validate_priority",
     "apply_priority",
+    "FCFSQueue",
+    "EASYQueue",
     "WFQQueue",
     "DRRQueue",
 ]
+
+
+#: Slack on EASY's shadow-time comparison (absorbs float noise).
+_EPS = 1e-9
+
+
+class FCFSQueue:
+    """Strict first-come-first-serve: the head blocks all later jobs.
+
+    There is no backfilling, matching the paper's setup.  (Because all of
+    the paper's allocators are noncontiguous, the head fits exactly when
+    enough processors are free; page sizes > 0 can additionally block on
+    page fragmentation.)
+    """
+
+    name = "fcfs"
+
+    def __init__(self, jobs: Sequence[Job] = ()) -> None:
+        self._queue: deque[Job] = deque()
+
+    def submit(self, job: Job) -> None:
+        """Append an arriving job."""
+        self._queue.append(job)
+
+    def head(self) -> Job | None:
+        """The blocking job at the front (None when empty)."""
+        return self._queue[0] if self._queue else None
+
+    def start_jobs(self, try_start, reservation=None) -> bool:
+        """Start jobs from the front until the head fails to place."""
+        queue = self._queue
+        started = False
+        while queue and try_start(queue[0]):
+            queue.popleft()
+            started = True
+        return started
+
+    def __len__(self) -> int:
+        return len(self._queue)
+
+    def __bool__(self) -> bool:
+        return bool(self._queue)
+
+
+class EASYQueue(FCFSQueue):
+    """FCFS plus EASY backfilling behind a blocked head."""
+
+    name = "easy"
+
+    def start_jobs(self, try_start, reservation=None) -> bool:
+        """Start the FIFO front, then backfill jobs that cannot delay it."""
+        started = super().start_jobs(try_start)
+        if not self._queue:
+            return started
+        head = self._queue[0]
+        now, shadow, spare = self._reserve(head, reservation)
+        for job in list(self._queue)[1:]:
+            # Optimistic estimate: quota seconds (1 msg/s issue floor).
+            fits_window = now + job.quota <= shadow + _EPS
+            fits_spare = job.size <= spare
+            if (fits_window or fits_spare) and try_start(job):
+                self._queue.remove(job)
+                started = True
+                now, shadow, spare = self._reserve(head, reservation)
+        return started
+
+    @staticmethod
+    def _reserve(head: Job, reservation) -> tuple[float, float, int]:
+        """(now, shadow time, spare processors) of the blocked head.
+
+        Walks predicted completions until enough held processors have
+        been released for the head; capacity-based reservation is exact
+        for the paper's noncontiguous allocators, which start whenever
+        enough processors are free.  The engine refreshes rates before
+        predicting: jobs started earlier in the same event would
+        otherwise still carry rate 0.0 and push the shadow time to
+        infinity -- disabling the window guard exactly when the head
+        needs it.
+        """
+        now, free, completions = reservation()
+        for t, released in completions:
+            free += released
+            if free >= head.size:
+                return now, t, free - head.size
+        return now, float("inf"), 0
 
 
 def class_weight(priority_class: int) -> float:
@@ -111,7 +210,7 @@ class WFQQueue:
         selected = self._select()
         return None if selected is None else selected[1][0][1]
 
-    def start_jobs(self, try_start) -> bool:
+    def start_jobs(self, try_start, reservation=None) -> bool:
         """Start minimum-tag heads until one fails to place (strict)."""
         started = False
         while self._n:
@@ -167,7 +266,7 @@ class DRRQueue:
                 return queue[0]
         return None
 
-    def start_jobs(self, try_start) -> bool:
+    def start_jobs(self, try_start, reservation=None) -> bool:
         """One DRR pass: visit tenants until a full lap starts nothing."""
         started = False
         idle_visits = 0
@@ -200,13 +299,17 @@ class DRRQueue:
         return self._n > 0
 
 
-#: name -> discipline factory (None: built into the engines).
-SCHEDULERS: dict[str, type | None] = {
-    "fcfs": None,
-    "easy": None,
+#: name -> discipline class, in registration order.
+SCHEDULERS: dict[str, type] = {
+    "fcfs": FCFSQueue,
+    "easy": EASYQueue,
     "wfq": WFQQueue,
     "drr": DRRQueue,
 }
+
+
+#: The paper's discipline, used when a run names none.
+DEFAULT_SCHEDULER = "fcfs"
 
 
 def scheduler_names() -> tuple[str, ...]:
@@ -223,15 +326,14 @@ def validate_scheduler(scheduler: str) -> str:
 
 
 def make_discipline(scheduler: str, jobs: Sequence[Job]):
-    """A fresh policy object for ``scheduler`` (None for engine-native).
+    """A fresh policy object for ``scheduler``.
 
     ``jobs`` is the full sorted trace -- disciplines may precompute
     trace-wide constants from it (DRR sizes its quantum to the largest
     quota) but must not assume arrival order beyond what ``submit``
     delivers.
     """
-    factory = SCHEDULERS[validate_scheduler(scheduler)]
-    return None if factory is None else factory(jobs)
+    return SCHEDULERS[validate_scheduler(scheduler)](jobs)
 
 
 def _parse_priority(policy: str) -> tuple[str, int]:

@@ -1,10 +1,12 @@
-"""Trace-driven FCFS simulator over the fluid network engine.
+"""Trace-driven job scheduling simulator over the fluid network engine.
 
 This is the reproduction's counterpart of the paper's ProcSimity runs
-(Section 3): jobs arrive per the trace, wait in a strict FCFS queue, are
-placed by the allocator under test, and then drain their message quota at
-the max-min fair rate the contended network gives them.  A job's completion
-releases its processors, which may unblock the queue head.
+(Section 3): jobs arrive per the trace, wait in the queue of a discipline
+from :mod:`repro.sched.registry` (strict FCFS, as in the paper, unless
+another is chosen), are placed by the allocator under test, and then
+drain their message quota at the max-min fair rate the contended network
+gives them.  A job's completion releases its processors, which may let
+the discipline start more jobs.
 
 Event structure: the only times rates change are job starts and job
 completions, so the simulator advances directly between those instants.
@@ -41,13 +43,16 @@ import numpy as np
 from repro.core.base import Allocator, Request
 from repro.core.metrics import average_pairwise_hops, n_components
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.mesh.topology import Topology
 from repro.network.fluid import FluidNetwork, NetworkParams
 from repro.network.traffic import pattern_flow_profile
 from repro.patterns.base import Pattern
-from repro.sched.fcfs import FCFSQueue
 from repro.sched.job import Job, JobResult
-from repro.sched.registry import make_discipline, validate_scheduler
+from repro.sched.registry import (
+    DEFAULT_SCHEDULER,
+    make_discipline,
+    validate_scheduler,
+)
 
 __all__ = ["Simulation", "SimulationResult"]
 
@@ -136,7 +141,7 @@ class SimulationResult:
     load_factor: float
     jobs: list[JobResult] = field(default_factory=list)
     makespan: float = 0.0
-    scheduler: str = "fcfs"
+    scheduler: str = DEFAULT_SCHEDULER
 
     # -- aggregate metrics (the quantities the paper plots) -------------
     def mean_response(self) -> float:
@@ -239,6 +244,16 @@ class Simulation:
     load_factor:
         Recorded in the result for reporting; arrival times must already
         reflect it.
+    pattern_label:
+        Pattern name recorded in the result (defaults to the pattern's
+        own name, or ``"mixed"`` for a per-job callable).
+    scheduler:
+        Name of a queueing discipline in :mod:`repro.sched.registry`:
+        ``fcfs`` (default; the paper's strict FIFO), ``easy`` (EASY
+        backfilling: a job behind a blocked head may start if, under the
+        optimistic quota-seconds runtime estimate, it cannot delay the
+        head's capacity reservation), or the fairness disciplines
+        ``wfq`` and ``drr``.
     engine:
         ``"vector"`` (default) for the array-based event loop, ``"loop"``
         for the frozen per-event reference implementation.  Both produce
@@ -247,7 +262,7 @@ class Simulation:
 
     def __init__(
         self,
-        mesh: Mesh2D | Mesh3D,
+        mesh: Topology,
         allocator: Allocator,
         pattern,
         jobs: list[Job],
@@ -255,7 +270,7 @@ class Simulation:
         seed: int = 0,
         load_factor: float = 1.0,
         pattern_label: str | None = None,
-        scheduler: str = "fcfs",
+        scheduler: str = DEFAULT_SCHEDULER,
         engine: str = "vector",
     ):
         self.mesh = mesh
@@ -269,11 +284,6 @@ class Simulation:
         self.params = params or NetworkParams()
         self.seed = seed
         self.load_factor = load_factor
-        # "easy" enables EASY backfilling (extension; the paper is strictly
-        # FCFS): queued jobs behind a blocked head may start if, under the
-        # optimistic quota-seconds runtime estimate, they cannot delay the
-        # head's capacity reservation.  "wfq"/"drr" swap the FIFO for a
-        # fairness discipline from repro.sched.registry.
         self.scheduler = validate_scheduler(scheduler)
         if engine not in ("vector", "loop"):
             raise ValueError(
@@ -299,10 +309,7 @@ class Simulation:
     def _run_vector(self) -> SimulationResult:
         machine = Machine(self.mesh)
         network = FluidNetwork(self.mesh, self.params)
-        # Registry disciplines (wfq/drr) replace the FIFO wholesale; they
-        # duck-type submit/head/__len__/__bool__ and own job selection.
-        policy = make_discipline(self.scheduler, self.jobs)
-        queue = FCFSQueue() if policy is None else policy
+        queue = make_discipline(self.scheduler, self.jobs)
         table = _ActiveTable()
         records: dict[int, _ActiveJob] = {}
         results: list[JobResult] = []
@@ -357,63 +364,20 @@ class Simulation:
             network.add_flow(job.job_id, load, hops)
             return True
 
-        def head_reservation(head: Job) -> tuple[float, int]:
-            """(shadow time, spare processors) of the blocked queue head.
+        def reservation() -> tuple[float, int, list[tuple[float, int]]]:
+            """(now, free processors, sorted predicted (completion, held)).
 
-            Walks predicted completions (remaining quota at current rates)
-            until enough held processors have been released for the head;
-            capacity-based reservation is exact for the paper's
-            noncontiguous allocators, which start whenever enough
-            processors are free.  Rates are refreshed first: jobs started
-            earlier in this same event still carry rate 0.0 until the
-            end-of-event refresh, and predicting from those stale zeros
-            would push the shadow time to infinity -- disabling the window
-            guard exactly when the head needs it.
+            Rates are refreshed first: jobs started earlier in this same
+            event still carry rate 0.0 until the end-of-event refresh.
             """
             refresh_rates()
-            free = machine.n_free
             n = table.n
             rate = table.rate[:n]
             t_pred = np.full(n, np.inf)
             running = rate > 0
             t_pred[running] = now + table.remaining[:n][running] / rate[running]
-            completions = sorted(
-                zip(t_pred.tolist(), table.held[:n].tolist())
-            )
-            for t, released in completions:
-                free += released
-                if free >= head.size:
-                    return t, free - head.size
-            return float("inf"), 0
-
-        def backfill() -> bool:
-            """EASY: start jobs behind the head that cannot delay it."""
-            head = queue.head()
-            shadow, spare = head_reservation(head)
-            started = False
-            for job in [j for j in queue][1:]:
-                if job.size > machine.n_free:
-                    continue
-                # Optimistic estimate: quota seconds (1 msg/s issue floor).
-                fits_window = now + job.quota <= shadow + _EPS
-                fits_spare = job.size <= spare
-                if (fits_window or fits_spare) and try_start(job):
-                    queue.remove(job)
-                    started = True
-                    shadow, spare = head_reservation(head)
-            return started
-
-        def start_eligible() -> bool:
-            """Start queued jobs per the scheduling policy."""
-            if policy is not None:
-                return policy.start_jobs(try_start)
-            started = False
-            while queue and try_start(queue.head()):
-                queue.pop_head()
-                started = True
-            if queue and self.scheduler == "easy":
-                started |= backfill()
-            return started
+            completions = sorted(zip(t_pred.tolist(), table.held[:n].tolist()))
+            return now, machine.n_free, completions
 
         def refresh_rates() -> None:
             n = table.n
@@ -476,7 +440,7 @@ class Simulation:
                 for idx in range(arr_idx, batch_end):
                     queue.submit(self.jobs[idx])
                 arr_idx = batch_end
-                changed |= start_eligible()
+                changed |= queue.start_jobs(try_start, reservation)
 
             done = table.remaining[: table.n] <= _EPS
             if due_rows is not None:
@@ -509,7 +473,7 @@ class Simulation:
                 )
                 changed = True
             if finished:
-                changed |= start_eligible()
+                changed |= queue.start_jobs(try_start, reservation)
             if changed:
                 refresh_rates()
 

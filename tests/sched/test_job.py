@@ -1,8 +1,7 @@
-"""Tests for repro.sched.job and repro.sched.fcfs."""
+"""Tests for repro.sched.job."""
 
 import pytest
 
-from repro.sched.fcfs import FCFSQueue
 from repro.sched.job import Job, JobResult
 
 
@@ -50,25 +49,3 @@ class TestJobResult:
         r = JobResult(1, 0, 0, 1, 1, 1, 0.0, 0.0, n_components=1)
         assert r.contiguous
 
-
-class TestFCFSQueue:
-    def test_fifo_order(self):
-        q = FCFSQueue()
-        jobs = [Job(i, float(i), 1, 1.0) for i in range(3)]
-        for j in jobs:
-            q.submit(j)
-        assert q.head() is jobs[0]
-        assert q.pop_head() is jobs[0]
-        assert q.head() is jobs[1]
-
-    def test_empty(self):
-        q = FCFSQueue()
-        assert q.head() is None
-        assert not q
-        assert len(q) == 0
-
-    def test_iteration(self):
-        q = FCFSQueue()
-        for i in range(4):
-            q.submit(Job(i, 0.0, 1, 1.0))
-        assert [j.job_id for j in q] == [0, 1, 2, 3]

@@ -8,6 +8,8 @@ from repro.patterns.base import get_pattern
 from repro.sched.job import Job
 from repro.sched.registry import (
     DRRQueue,
+    EASYQueue,
+    FCFSQueue,
     WFQQueue,
     apply_priority,
     class_weight,
@@ -47,8 +49,9 @@ class TestRegistry:
         assert "'sjf'" in str(err.value)
 
     def test_make_discipline(self):
-        assert make_discipline("fcfs", []) is None
-        assert make_discipline("easy", []) is None
+        fcfs = make_discipline("fcfs", [])
+        assert isinstance(fcfs, FCFSQueue) and not isinstance(fcfs, EASYQueue)
+        assert isinstance(make_discipline("easy", []), EASYQueue)
         assert isinstance(make_discipline("wfq", []), WFQQueue)
         assert isinstance(make_discipline("drr", []), DRRQueue)
 
@@ -89,6 +92,123 @@ class TestPriorityPolicies:
     def test_apply_none_is_identity(self):
         jobs = [Job(0, 0.0, 1, 1.0, priority_class=2)]
         assert apply_priority(jobs, None) == jobs
+
+
+class TestFCFSQueue:
+    def test_fifo_order(self):
+        q = FCFSQueue()
+        jobs = [Job(i, float(i), 1, 1.0) for i in range(3)]
+        for j in jobs:
+            q.submit(j)
+        assert q.head() is jobs[0]
+        order = []
+        assert q.start_jobs(lambda j: order.append(j) or True) is True
+        assert order == jobs
+        assert q.head() is None
+
+    def test_head_blocks_later_jobs(self):
+        q = FCFSQueue()
+        blocked, small = Job(0, 0.0, 64, 10.0), Job(1, 0.0, 1, 10.0)
+        q.submit(blocked)
+        q.submit(small)
+        tried = []
+        assert q.start_jobs(lambda j: tried.append(j) or j.size <= 1) is False
+        assert tried == [blocked]
+        assert q.head() is blocked and len(q) == 2
+
+    def test_empty(self):
+        q = FCFSQueue()
+        assert q.head() is None
+        assert not q
+        assert len(q) == 0
+
+
+def _no_reservation():
+    raise AssertionError("reservation() needs a blocked head")
+
+
+class TestEASYQueue:
+    """EASY driven without an engine: a fake ``reservation()`` reports the
+    machine, a scripted ``try_start`` stands in for the allocator."""
+
+    HEAD = Job(0, 0.0, 64, 10.0)  # never fits: always the blocked head
+
+    def _queue(self, *behind):
+        q = EASYQueue()
+        for job in (self.HEAD, *behind):
+            q.submit(job)
+        return q
+
+    @staticmethod
+    def _reservation(*answers):
+        """Answer successive calls with ``answers`` (the last repeats)."""
+        calls = []
+
+        def reservation():
+            calls.append(len(calls))
+            return answers[min(len(calls), len(answers)) - 1]
+
+        return reservation, calls
+
+    @staticmethod
+    def _try_start(log):
+        def try_start(job):
+            log.append(job.job_id)
+            return job.size < 64
+
+        return try_start
+
+    def test_unblocked_queue_never_asks_for_reservation(self):
+        q = EASYQueue()
+        q.submit(Job(0, 0.0, 4, 10.0))
+        assert q.start_jobs(lambda j: True, _no_reservation) is True
+        assert not q
+
+    def test_blocked_head_stays_first(self):
+        """The head is offered first, and stays at the front after a
+        job behind it backfills."""
+        short = Job(1, 0.0, 2, 10.0)
+        q = self._queue(short)
+        # Head needs 64: 4 free now, 60 more released at t=100.
+        reservation, _ = self._reservation((0.0, 4, [(100.0, 60)]))
+        log = []
+        assert q.start_jobs(self._try_start(log), reservation) is True
+        assert log == [0, 1]
+        assert q.head() is self.HEAD and len(q) == 1
+
+    def test_backfills_through_time_window(self):
+        """No spare processors, but the job ends before the shadow time."""
+        job = Job(1, 0.0, 8, 50.0)
+        q = self._queue(job)
+        reservation, _ = self._reservation((0.0, 8, [(100.0, 56)]))
+        log = []
+        assert q.start_jobs(self._try_start(log), reservation) is True
+        assert log == [0, 1]
+
+    def test_backfills_through_spare_processors(self):
+        """A job longer than the window starts on processors the head will
+        not need; once the spare is used up the next one is held back."""
+        first, second = Job(1, 0.0, 4, 500.0), Job(2, 0.0, 4, 500.0)
+        q = self._queue(first, second)
+        # At t=100, 68 processors are free: the head leaves 4 spare.
+        # After `first` starts, the engine reports no spare.
+        reservation, calls = self._reservation(
+            (0.0, 8, [(100.0, 60)]), (0.0, 4, [(100.0, 60)])
+        )
+        log = []
+        assert q.start_jobs(self._try_start(log), reservation) is True
+        assert log == [0, 1]
+        assert len(calls) == 2  # re-reserved after the backfill start
+        assert [q.head(), len(q)] == [self.HEAD, 2]
+
+    def test_job_fitting_neither_is_never_tried(self):
+        long_wide = Job(1, 0.0, 8, 500.0)
+        q = self._queue(long_wide)
+        reservation, _ = self._reservation((0.0, 8, [(100.0, 56)]))
+        log = []
+        assert q.start_jobs(self._try_start(log), reservation) is False
+        assert log == [0]
+        assert len(q) == 2
 
 
 class TestWFQQueue:
