@@ -123,7 +123,7 @@ class EASYQueue(FCFSQueue):
 
     name = "easy"
 
-    def start_jobs(self, try_start, reservation=None) -> bool:
+    def start_jobs(self, try_start, reservation) -> bool:
         """Start the FIFO front, then backfill jobs that cannot delay it."""
         started = super().start_jobs(try_start)
         if not self._queue:
