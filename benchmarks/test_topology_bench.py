@@ -8,6 +8,9 @@ and the batched difference-array accumulation has to stay far ahead of
 the per-message routing loop it replaced.  The Clos side pins its own
 vectorised claim -- masked hop templates must beat per-message routing
 too, or ``GraphLinkSpace.accumulate_route_loads`` is decoration.
+Per job start, ``pattern_flow_profile`` routes an n-body cycle as its
+``2p`` weighted rows; it must stay far ahead of materialising and
+routing the ``p * (p/2 + 1)`` messages one by one.
 """
 
 import time
@@ -18,6 +21,12 @@ from repro.mesh.clos import FatTree
 from repro.mesh.topology import Mesh2D
 from repro.network.fluid import FluidNetwork, NetworkParams
 from repro.network.links import LinkSpace, link_space_for
+from repro.network.traffic import (
+    build_load_vector,
+    mean_message_hops,
+    pattern_flow_profile,
+)
+from repro.patterns.nbody import NBody
 
 MESH = Mesh2D(16, 22)
 N_MESSAGES = 4000
@@ -107,3 +116,38 @@ def test_clos_template_accumulation_beats_routing_loop(benchmark):
         space.accumulate_route_loads, args=(src, dst, weight),
         rounds=1, iterations=1,
     )
+
+
+def test_nbody_flow_profile_beats_materialised_cycle(benchmark):
+    """Weighted ring rows vs the full cycle, timed in the same run (a ratio,
+    so the floor holds on slow and fast hosts alike)."""
+    p = 256
+    pattern = NBody()
+    nodes = np.random.default_rng(SEED).permutation(MESH.n_nodes)[:p]
+    pairs = pattern.cached_cycle(p)
+
+    def materialised():
+        return (
+            build_load_vector(MESH, nodes, pairs, 64.0),
+            mean_message_hops(MESH, nodes, pairs),
+            len(pairs),
+        )
+
+    def weighted():
+        return pattern_flow_profile(MESH, pattern, nodes, 64.0)
+
+    t_fast, fast = _best_of(weighted, repeats=7)
+    t_ref, ref = _best_of(materialised, repeats=7)
+    assert np.array_equal(fast[0], ref[0])
+    assert fast[1:] == ref[1:]
+    speedup = t_ref / t_fast
+    benchmark.extra_info["nbody_profile_speedup"] = round(speedup, 1)
+    print(
+        f"\n[n-body p={p} on 16x22] weighted profile {t_fast * 1e3:.2f} ms, "
+        f"materialised cycle {t_ref * 1e3:.2f} ms, speedup {speedup:.1f}x"
+    )
+    assert speedup >= 10.0, (
+        f"weighted n-body flow profile only {speedup:.1f}x the materialised "
+        "cycle (floor 10x)"
+    )
+    benchmark.pedantic(weighted, rounds=1, iterations=1)

@@ -723,12 +723,29 @@ def build_topology(text: str) -> Topology:
       ``"leafspine:leaves=40,spines=16,oversub=3"``,
     * ``"dragonfly:9x4x2"`` (groups x routers x hosts) or
       ``"dragonfly:groups=9,routers=4,hosts=2"``.
+
+    Switched fabrics are memoised per canonical label: every string naming
+    the same fabric returns the same object (and so one cached link space).
     """
     text = str(text).strip().lower()
     if not text:
         raise ValueError("empty topology string")
     if ":" not in text:
         return _parse_mesh_string(text)
+    fabric = _parse_fabric_string(text)
+    # One shared instance per canonical label in a process.  A fabric and
+    # its lazily built GraphLinkSpace point at each other, so a fresh
+    # fabric per cell would leave a reference cycle -- holding the dense
+    # link-id matrix -- that only a full gc pass frees.  The fabrics are
+    # frozen dataclasses, so sharing them is safe.
+    return _FABRICS.setdefault(fabric.label, fabric)
+
+
+_FABRICS: dict[str, ClosTopology] = {}
+
+
+def _parse_fabric_string(text: str) -> ClosTopology:
+    """A fresh fabric from a lower-cased ``kind:params`` string."""
     kind, _, rest = text.partition(":")
     kind = kind.replace("-", "").replace("_", "")
     rest = rest.strip()

@@ -24,9 +24,10 @@ reproduces the table above bit for bit.
 
 Per-direction loads accumulate with NumPy difference arrays: each axis leg
 of a dimension-ordered route covers a (circular) interval of columns, so a
-batch of messages reduces to scattered +/- marks followed by a ``cumsum``
-along the leg axis -- O(messages + links), no Python-level loop, on meshes
-*and* tori.
+batch of messages reduces to scattered +/- marks -- one ``np.bincount``
+into a flat buffer holding every direction block -- followed by a
+``cumsum`` along each leg axis: O(messages + links), no Python-level loop,
+on meshes *and* tori.
 
 Switched fabrics (:mod:`repro.mesh.clos`) get the same two-sided surface
 from :class:`GraphLinkSpace`, which numbers the directed links of an
@@ -79,6 +80,29 @@ class LinkSpace:
             strides.append(acc)
             acc *= n
         self._node_strides = tuple(strides)
+        # Difference-array layout of accumulate_route_loads: one flat
+        # buffer holding, per axis, a positive then a negative block whose
+        # C-order dims are the reversed coordinate axes (x fastest) with
+        # the leg axis widened by one column so interval ends never spill.
+        shapes, diff_strides, diff_offsets = [], [], []
+        off = 0
+        for axis in range(self.n_dims):
+            widened = tuple(
+                n + 1 if k == axis else n for k, n in enumerate(self.extents)
+            )
+            acc = 1
+            axis_strides = []
+            for n in widened:
+                axis_strides.append(acc)
+                acc *= n
+            shapes.append(tuple(reversed(widened)))
+            diff_strides.append(tuple(axis_strides))
+            diff_offsets.append((off, off + acc))
+            off += 2 * acc
+        self._diff_shapes = tuple(shapes)
+        self._diff_strides = tuple(diff_strides)
+        self._diff_offsets = tuple(diff_offsets)
+        self._diff_size = off
         if self.n_dims == 2:
             # Historical 2-D aliases (kept for callers and tests).
             self.ew_cols = self.axis_cols[0]
@@ -222,8 +246,9 @@ class LinkSpace:
         -----
         Each axis leg of a dimension-ordered route covers a (circular)
         interval of same-direction links in one row, so the whole batch
-        reduces to scattered +/- marks in per-direction difference arrays
-        followed by a ``cumsum`` (O(messages + links), no Python loop).  On
+        reduces to scattered +/- marks in one flat difference buffer --
+        filled by a single ``np.bincount`` -- followed by one ``cumsum``
+        per axis (O(messages + links), no Python loop over messages).  On
         a torus a wrapping leg splits into two plain intervals.
         """
         src = np.asarray(src, dtype=np.int64)
@@ -243,70 +268,68 @@ class LinkSpace:
             (dst // s) % n for s, n in zip(self._node_strides, self.extents)
         ]
 
-        loads = np.empty(self.n_links, dtype=np.float64)
+        idx: list[np.ndarray] = []
+        marks: list[np.ndarray] = []
         for axis, n in enumerate(self.extents):
             a, b = src_c[axis], dst_c[axis]
+            strides = self._diff_strides[axis]
             # Leg position: axes already corrected sit at dst, later at src.
-            row = [dst_c[k] if k < axis else src_c[k] for k in range(self.n_dims)]
+            row = sum(
+                (dst_c[k] if k < axis else src_c[k]) * strides[k]
+                for k in range(self.n_dims)
+                if k != axis
+            )
+            col = strides[axis]
+            pos_off, neg_off = self._diff_offsets[axis]
             if self.torus:
                 fwd = (b - a) % n
                 back = (a - b) % n
                 go_pos = (fwd > 0) & (fwd <= back)
-                go_neg = back < fwd
+                start = np.where(go_pos, a, b)
+                end = start + np.where(go_pos, fwd, back)
+                plain = (start < end) & (end <= n)
             else:
-                fwd = b - a
-                back = a - b
-                go_pos = fwd > 0
-                go_neg = back > 0
-            for positive, mask, start, length in (
-                (True, go_pos, a, fwd),
-                (False, go_neg, b, back),
-            ):
-                off = self.axis_offsets[axis][0 if positive else 1]
-                block = self._accumulate_axis_legs(
-                    axis, row, mask, start, length, weight_arr
-                )
-                loads[off : off + self.axis_block[axis]] = block
-        return loads
+                go_pos = b > a
+                start = np.minimum(a, b)
+                end = np.maximum(a, b)
+                plain = start < end
+            base = np.where(go_pos, pos_off, neg_off) + row
+            # Every bin sums its marks in a fixed order -- plain starts,
+            # plain ends, then the torus wrap marks, each in message order
+            # -- so even non-integer weights reproduce cached results.
+            # Messages without a plain leg on this axis add +-0.0 marks,
+            # which leave every bin's bits unchanged: bins start at +0.0
+            # and a float sum never turns +0.0 into -0.0.
+            w = np.where(plain, weight_arr, 0.0)
+            idx += [base + start * col, base + np.minimum(end, n) * col]
+            marks += [w, -w]
+            if self.torus:
+                wrap = end > n
+                bw = base[wrap]
+                w = weight_arr[wrap]
+                idx += [bw + start[wrap] * col, bw + n * col,
+                        bw, bw + (end[wrap] - n) * col]
+                marks += [w, -w, w, -w]
 
-    def _accumulate_axis_legs(
-        self, axis, row, mask, start, length, weight
-    ) -> np.ndarray:
-        """Difference-array accumulation of one direction's axis legs."""
-        n = self.extents[axis]
-        # Reversed-coordinate dims (C order, x fastest), axis widened by one
-        # column so interval ends never spill.
-        shape = tuple(
-            (n + 1) if k == axis else self.extents[k]
-            for k in reversed(range(self.n_dims))
+        diff = np.bincount(
+            np.concatenate(idx),
+            weights=np.concatenate(marks),
+            minlength=self._diff_size,
         )
-        diff = np.zeros(shape, dtype=np.float64)
-        axis_pos = self.n_dims - 1 - axis  # axis's position in the dims
-
-        def at(col, sel):
-            return tuple(
-                col[sel] if k == axis else row[k][sel]
-                for k in reversed(range(self.n_dims))
+        loads = np.empty(self.n_links, dtype=np.float64)
+        for axis in range(self.n_dims):
+            # Both direction blocks of an axis share one widened shape:
+            # a single cumsum along the leg axis serves the pair.
+            pos, neg = self._diff_offsets[axis]
+            cum = np.cumsum(
+                diff[pos : 2 * neg - pos].reshape((2,) + self._diff_shapes[axis]),
+                axis=self.n_dims - axis,
             )
-
-        end = start + length
-        plain = mask & (end <= n)
-        if np.any(plain):
-            np.add.at(diff, at(start, plain), weight[plain])
-            np.add.at(diff, at(end, plain), -weight[plain])
-        if self.torus:
-            wrap = mask & (end > n)
-            if np.any(wrap):
-                full = np.full_like(start, n)
-                zero = np.zeros_like(start)
-                np.add.at(diff, at(start, wrap), weight[wrap])
-                np.add.at(diff, at(full, wrap), -weight[wrap])
-                np.add.at(diff, at(zero, wrap), weight[wrap])
-                np.add.at(diff, at(end - n, wrap), -weight[wrap])
-        cum = np.cumsum(diff, axis=axis_pos)
-        sel = [slice(None)] * self.n_dims
-        sel[axis_pos] = slice(0, self.axis_cols[axis])
-        return cum[tuple(sel)].ravel()
+            sel = [slice(None)] * (self.n_dims + 1)
+            sel[self.n_dims - axis] = slice(0, self.axis_cols[axis])
+            off = self.axis_offsets[axis][0]
+            loads[off : off + 2 * self.axis_block[axis]] = cum[tuple(sel)].ravel()
+        return loads
 
 
 class GraphLinkSpace:

@@ -196,29 +196,41 @@ def pattern_flow_profile(
     The simulator's per-start entry point: uniform all-pairs patterns on
     plain meshes take the closed-form census path (the factorisation is a
     mesh identity, so Clos fabrics fall through to the generic
-    accumulation), other deterministic patterns reuse one cached cycle per
-    job size, and stochastic patterns draw a fresh cycle from ``rng``.
-    All the paths are bit-identical to building the cycle and accumulating
-    its routes message by message.
+    accumulation).  Every other pattern routes its
+    :meth:`~repro.patterns.base.Pattern.weighted_cycle` in one counting
+    pass: each row carries weight ``mult * message_flits``, the cycle
+    length is ``sum(mult)`` and the mean hops ``sum(mult * distance) /
+    sum(mult)`` -- so an n-body start routes ``2p`` rows instead of
+    ``p * (p/2 + 1)`` messages.  Deterministic patterns reuse cached
+    cycles; stochastic ones draw a fresh cycle from ``rng``.
+
+    Exactness contract: ``message_flits`` must be integer-valued (the
+    default 64 and every bundled campaign are).  Then every per-link sum
+    is an exact integer, whatever the summation order or grouping, and
+    all the paths are bit-identical to building
+    :meth:`~repro.patterns.base.Pattern.cycle` and calling
+    :func:`build_load_vector` and :func:`mean_message_hops` on it.
     """
     p = len(nodes)
+    space = link_space_for(mesh)
     if (
         getattr(pattern, "uniform_all_pairs", False)
         and getattr(mesh, "is_mesh", True)
         and not mesh.torus
     ):
         if p < 2:
-            space = link_space_for(mesh)
             return np.zeros(space.n_links, dtype=np.float64), 0.0, 0
         return (
             all_pairs_load_vector(mesh, nodes, message_flits),
             all_pairs_mean_hops(mesh, nodes),
             p * (p - 1),
         )
-    if getattr(pattern, "deterministic_cycle", False):
-        pairs = pattern.cached_cycle(p)
-    else:
-        pairs = pattern.cycle(p, rng)
-    load = build_load_vector(mesh, nodes, pairs, message_flits)
-    hops = mean_message_hops(mesh, nodes, pairs)
-    return load, hops, len(pairs)
+    pairs, mult = pattern.weighted_cycle(p, rng)
+    n_messages = int(mult.sum())
+    if n_messages == 0:
+        return np.zeros(space.n_links, dtype=np.float64), 0.0, 0
+    src, dst = pairs_to_nodes(nodes, pairs)
+    load = space.accumulate_route_loads(src, dst, weight=mult * message_flits)
+    load /= n_messages
+    total_hops = int(np.dot(mult, mesh.distance(src, dst)))
+    return load, total_hops / n_messages, n_messages

@@ -73,13 +73,37 @@ class Pattern(ABC):
             raise ValueError(
                 f"pattern {self.name!r} is stochastic; cycles cannot be cached"
             )
-        cache = self.__dict__.setdefault("_cycle_cache", {})
-        pairs = cache.get(p)
-        if pairs is None:
-            pairs = self.cycle(p)
-            pairs.setflags(write=False)
-            cache[p] = pairs
-        return pairs
+        return self._memoised("_cycle_cache", p, self.cycle)
+
+    def _memoised(self, slot: str, p: int, build):
+        """Per-size memo of ``build(p)``: an array or a tuple of arrays,
+        stored read-only because every job of that size shares it."""
+        cache = self.__dict__.setdefault(slot, {})
+        value = cache.get(p)
+        if value is None:
+            value = build(p)
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.setflags(write=False)
+            cache[p] = value
+        return value
+
+    def weighted_cycle(
+        self, p: int, rng: np.random.Generator | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One cycle as ``(pairs, mult)``: rank pairs with multiplicities.
+
+        Repeating row ``i`` of ``pairs`` ``mult[i]`` times yields the same
+        multiset of messages as :meth:`cycle` (order aside), so load
+        accumulation can route each row once with weight ``mult[i]``.  The
+        default is the plain cycle with unit multiplicity (memoised per
+        size for deterministic patterns); patterns whose cycles repeat
+        messages override it.
+        """
+        if not self.deterministic_cycle:
+            return _unit_rows(self.cycle(p, rng))
+        return self._memoised(
+            "_weighted_cache", p, lambda p: _unit_rows(self.cached_cycle(p))
+        )
 
     @staticmethod
     def _check_size(p: int) -> None:
@@ -93,6 +117,11 @@ class Pattern(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
+
+
+def _unit_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(pairs, mult)`` with every row sent once."""
+    return pairs, np.ones(len(pairs), dtype=np.int64)
 
 
 _REGISTRY: dict[str, type[Pattern]] = {}

@@ -33,10 +33,35 @@ class NBody(Pattern):
         if p == 1:
             return self.empty()
         # floor(p/2) ring subphases tiled in one shot, then the chord.
+        ring, chord = self._ring_and_chord(p)
+        return np.concatenate([np.tile(ring, (p // 2, 1)), chord], axis=0)
+
+    def weighted_cycle(
+        self, p: int, rng: np.random.Generator | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ring once with multiplicity ``floor(p/2)``, then the chord.
+
+        ``2p`` rows instead of ``p * (floor(p/2) + 1)`` messages.  At
+        ``p = 2, 3`` the chord repeats ring pairs; multiplicities of
+        repeated rows simply add up.
+        """
+        self._check_size(p)
+        return self._memoised("_weighted_cache", p, self._weighted_rows)
+
+    def _weighted_rows(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        if p == 1:
+            return self.empty(), np.empty(0, dtype=np.int64)
+        ring, chord = self._ring_and_chord(p)
+        mult = np.repeat(np.array([p // 2, 1], dtype=np.int64), p)
+        return np.concatenate([ring, chord], axis=0), mult
+
+    @staticmethod
+    def _ring_and_chord(p: int) -> tuple[np.ndarray, np.ndarray]:
+        """One ring subphase and the chordal subphase, ``(p, 2)`` each."""
         src = np.arange(p, dtype=np.int64)
         ring = np.stack([src, (src + 1) % p], axis=1)
         chord = np.stack([src, (src + p // 2) % p], axis=1)
-        return np.concatenate([np.tile(ring, (p // 2, 1)), chord], axis=0)
+        return ring, chord
 
     def rounds(
         self, p: int, rng: np.random.Generator | None = None

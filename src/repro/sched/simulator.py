@@ -19,7 +19,7 @@ Two engines execute the same event loop:
   rates and held-processor counts in parallel NumPy arrays whose rows
   mirror the fluid network's flow rows, so advancing time, finding the
   next completion and detecting finished jobs are single array ops; job
-  starts route traffic through the closed forms of
+  starts route traffic through the closed forms and weighted cycles of
   :func:`repro.network.traffic.pattern_flow_profile` instead of
   materialising a pattern cycle per start.
 * ``engine="loop"`` is the frozen pre-vectorisation implementation

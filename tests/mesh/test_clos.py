@@ -127,6 +127,12 @@ class TestBuildTopology:
     def test_clos_strings(self, text, expected):
         assert build_topology(text) == expected
 
+    def test_fabrics_are_shared_per_label(self):
+        a = build_topology("leafspine:40x16")
+        assert build_topology("leafspine:leaves=40,spines=16") is a
+        assert build_topology("LeafSpine:40x16") is a
+        assert build_topology("leafspine:40x8") is not a
+
     def test_mesh_strings(self):
         assert build_topology("16x22") == Mesh2D(16, 22)
         assert build_topology("8x8x8t") == Mesh3D(8, 8, 8, torus=True)

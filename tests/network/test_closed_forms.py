@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.metrics import components, n_components, total_pairwise_hops
+from repro.mesh.clos import FatTree
 from repro.mesh.topology import Mesh2D, Mesh3D
 from repro.network.traffic import (
     all_pairs_load_vector,
@@ -21,6 +22,7 @@ from repro.network.traffic import (
     pattern_flow_profile,
 )
 from repro.patterns.alltoall import AllToAll, AllToAllBroadcast
+from repro.patterns.base import get_pattern, pattern_names
 from repro.patterns.nbody import NBody
 from repro.patterns.pingpong import AllPairsPingPong
 from repro.patterns.ring import Ring
@@ -32,6 +34,10 @@ MESHES = [
     Mesh3D(2, 2, 2),
     Mesh3D(3, 4, 2),
 ]
+
+
+def _sorted_rows(pairs):
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def _all_ordered_pairs(p):
@@ -95,6 +101,88 @@ class TestPatternFlowProfile:
             )
             assert hops == mean_message_hops(mesh, nodes, pairs)
             assert cycle_len == len(pairs)
+
+    @staticmethod
+    def _assert_matches_materialised(mesh, pattern, nodes, seed=None):
+        """``pattern_flow_profile`` == routing the full ``cycle`` message by
+        message, bit for bit (stochastic patterns replay one seeded draw)."""
+        rng = None if seed is None else np.random.default_rng(seed)
+        load, hops, cycle_len = pattern_flow_profile(
+            mesh, pattern, nodes, message_flits=64.0, rng=rng
+        )
+        rng = None if seed is None else np.random.default_rng(seed)
+        pairs = pattern.cycle(len(nodes), rng)
+        assert np.array_equal(
+            load, build_load_vector(mesh, nodes, pairs, message_flits=64.0)
+        )
+        assert hops == mean_message_hops(mesh, nodes, pairs)
+        assert cycle_len == len(pairs)
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 64, 351, 352])
+    def test_nbody_weighted_cycle_on_paper_mesh(self, p):
+        mesh = Mesh2D(16, 22)
+        nodes = np.random.default_rng(p).permutation(mesh.n_nodes)[:p]
+        self._assert_matches_materialised(mesh, NBody(), nodes)
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            Mesh2D(5, 7, torus=True),
+            Mesh2D(2, 6, torus=True),
+            Mesh3D(3, 4, 5),
+            Mesh3D(3, 4, 5, torus=True),
+        ],
+        ids=lambda m: f"{m.shape}{'t' if m.torus else ''}",
+    )
+    def test_nbody_weighted_cycle_on_3d_and_tori(self, mesh):
+        rng = np.random.default_rng(mesh.n_nodes)
+        for p in (2, 3, 4, 5, 9, mesh.n_nodes - 1, mesh.n_nodes):
+            nodes = rng.permutation(mesh.n_nodes)[:p]
+            self._assert_matches_materialised(mesh, NBody(), nodes)
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [Mesh2D(16, 22), Mesh2D(6, 6, torus=True), Mesh3D(3, 4, 5),
+         Mesh3D(4, 4, 4, torus=True)],
+        ids=lambda m: f"{m.shape}{'t' if m.torus else ''}",
+    )
+    def test_random_pattern_with_seeded_rng(self, mesh):
+        pattern = get_pattern("random")
+        rng = np.random.default_rng(3)
+        for seed, p in enumerate((2, 3, 17, 48)):
+            nodes = rng.permutation(mesh.n_nodes)[:p]
+            self._assert_matches_materialised(mesh, pattern, nodes, seed=seed)
+
+    def test_nbody_weighted_cycle_on_clos(self):
+        fabric = FatTree(8)
+        rng = np.random.default_rng(8)
+        for p in (2, 3, 16, 65, fabric.n_nodes):
+            nodes = rng.permutation(fabric.n_nodes)[:p]
+            self._assert_matches_materialised(fabric, NBody(), nodes)
+
+    @pytest.mark.parametrize(
+        "name",
+        [n for n in pattern_names() if get_pattern(n).deterministic_cycle],
+    )
+    def test_weighted_cycle_expands_to_cycle(self, name):
+        """Repeating rows by multiplicity gives the cycle's pair multiset."""
+        pattern = get_pattern(name)
+        for p in (1, 2, 3, 4, 5, 8, 11):
+            pairs, mult = pattern.weighted_cycle(p)
+            assert len(pairs) == len(mult)
+            assert np.all(mult >= 1)
+            expanded = np.repeat(pairs, mult, axis=0)
+            cycle = pattern.cycle(p)
+            assert int(mult.sum()) == len(cycle)
+            assert np.array_equal(_sorted_rows(expanded), _sorted_rows(cycle))
+
+    def test_nbody_weighted_cycle_is_compact(self):
+        pattern = NBody()
+        pairs, mult = pattern.weighted_cycle(352)
+        assert len(pairs) == 2 * 352
+        assert int(mult.sum()) == pattern.messages_per_cycle(352)
+        assert pattern.weighted_cycle(352)[0] is pairs  # memoised per size
+        assert not pairs.flags.writeable and not mult.flags.writeable
 
     def test_cached_cycle_reused_and_immutable(self):
         pattern = AllToAll()

@@ -113,6 +113,25 @@ class TestAccumulateLoads:
         expected = self._reference(mesh, src, dst, weight)
         assert np.allclose(got, expected)
 
+    @given(
+        w=st.integers(2, 9),
+        h=st.integers(2, 9),
+        n=st.integers(1, 60),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_integer_weights_exact(self, w, h, n, seed):
+        """Integer-valued weights (as the simulator's flit counts are) sum
+        exactly in any order, so the batch must equal the walk bit for bit."""
+        mesh = Mesh2D(w, h)
+        space = LinkSpace.for_mesh(mesh)
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, mesh.n_nodes, n)
+        dst = rng.integers(0, mesh.n_nodes, n)
+        weight = 64.0 * rng.integers(1, 200, n)
+        got = space.accumulate_route_loads(src, dst, weight)
+        assert np.array_equal(got, self._reference(mesh, src, dst, weight))
+
     def test_scalar_weight(self):
         mesh = Mesh2D(5, 5)
         space = LinkSpace.for_mesh(mesh)
@@ -169,6 +188,23 @@ class TestAccumulateLoads:
         expected = self._reference(mesh, src, dst, weight)
         assert np.allclose(got, expected)
 
+    @given(
+        w=st.integers(2, 6),
+        h=st.integers(2, 6),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_2d_torus_integer_weights_exact(self, w, h, n, seed):
+        mesh = Mesh2D(w, h, torus=True)
+        space = LinkSpace.for_mesh(mesh)
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, mesh.n_nodes, n)
+        dst = rng.integers(0, mesh.n_nodes, n)
+        weight = 64.0 * rng.integers(1, 200, n)
+        got = space.accumulate_route_loads(src, dst, weight)
+        assert np.array_equal(got, self._reference(mesh, src, dst, weight))
+
 
 class TestLinkSpace3D:
     def _reference(self, mesh, src, dst, weight):
@@ -215,6 +251,23 @@ class TestLinkSpace3D:
         got = space.accumulate_route_loads(src, dst, weight)
         expected = self._reference(mesh, src, dst, weight)
         assert np.allclose(got, expected)
+
+    @given(
+        dims=st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5)),
+        torus=st.booleans(),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_integer_weights_exact(self, dims, torus, n, seed):
+        mesh = Mesh3D(*dims, torus=torus)
+        space = LinkSpace.for_mesh(mesh)
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, mesh.n_nodes, n)
+        dst = rng.integers(0, mesh.n_nodes, n)
+        weight = 64.0 * rng.integers(1, 200, n)
+        got = space.accumulate_route_loads(src, dst, weight)
+        assert np.array_equal(got, self._reference(mesh, src, dst, weight))
 
     def test_total_equals_total_hops(self):
         mesh = Mesh3D(5, 4, 6, torus=True)

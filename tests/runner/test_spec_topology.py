@@ -129,3 +129,48 @@ class TestClosSpecs:
         assert 0 < len(result.jobs) <= 8
         # Determinism in the spec alone, fabric included.
         assert run_cell(spec).summary.makespan == result.summary.makespan
+
+
+class TestFabricSharing:
+    """Cells on one fabric label share the fabric and its link space.
+
+    A fabric and its lazily built ``GraphLinkSpace`` reference each other;
+    built afresh per cell, each pair (with its dense link-id matrix) would
+    linger until a full gc pass, growing a runner's memory cell by cell.
+    """
+
+    LABEL = "leafspine:40x16"
+
+    def _spec(self, seed, allocator="random"):
+        return ExperimentSpec(
+            mesh_shape=(1,), pattern="random", allocator=allocator,
+            load=1.0, seed=seed, n_jobs=6, topology=self.LABEL,
+        )
+
+    def test_two_cells_share_one_link_space(self):
+        a = self._spec(1).build_machine_topology()
+        b = self._spec(2, allocator="rack-aware").build_machine_topology()
+        assert a is b
+        assert a.link_space() is b.link_space()
+
+    def test_cells_leave_at_most_one_live_link_space(self):
+        import gc
+
+        from repro.network.links import GraphLinkSpace
+
+        def live_spaces():
+            return sum(
+                1
+                for obj in gc.get_objects()
+                if isinstance(obj, GraphLinkSpace)
+                and obj.topology.label == self.LABEL
+            )
+
+        gc.collect()
+        gc.disable()
+        try:
+            for seed in range(5):
+                run_cell(self._spec(seed))
+            assert live_spaces() <= 1
+        finally:
+            gc.enable()
