@@ -26,6 +26,21 @@ placements are all anchor positions where the submesh lies inside the mesh
 within a tied shell processors are taken in row-major order; tied anchors
 resolve to the lowest row-major anchor.  Returned rank order is
 (shell, row-major) -- innermost first.
+
+Implementation notes (this runs for every MC/MC1x1 allocation in the trace
+sweeps): no per-anchor shell matrix is built.  The free processors with
+shell <= s around an ``a x b`` anchor at ``(ax, ay)`` are exactly those in
+the clipped rectangle ``[ax-s, ax+a-1+s] x [ay-s, ay+b-1+s]``, so with one
+summed-area table of the free mask each count ``count_s`` is four table
+lookups, for every candidate anchor and every shell ``s < max(W, H)`` at
+once.  The sum of the k smallest shell numbers is then
+
+    cost = sum_s max(0, k - count_s)
+
+because the j-th smallest shell number is the number of shells ``s`` with
+fewer than j free processors at shell <= s.  Every term is an integer, so
+the costs (and the first-minimum tie rule) are exactly those of sorting
+each anchor's shells.  Only the winning anchor's shells are computed.
 """
 
 from __future__ import annotations
@@ -77,6 +92,42 @@ def shell_map(mesh: Mesh2D, anchor_x: int, anchor_y: int, shape: tuple[int, int]
     return np.maximum(dx, dy)
 
 
+def _anchor_costs(
+    machine: Machine,
+    k: int,
+    shape: tuple[int, int],
+    anchor_x: np.ndarray,
+    anchor_y: np.ndarray,
+) -> np.ndarray:
+    """MC cost of the ``a x b`` submesh at each in-mesh anchor ``(x, y)``.
+
+    The cost is the sum of the k smallest shell numbers of the free
+    processors, computed as ``sum_s max(0, k - count_s)`` from a
+    summed-area table (see the module docstring).
+    """
+    w, h = machine.mesh.width, machine.mesh.height
+    a, b = shape
+    # table[y, x] = free processors in rows < y and columns < x, flattened.
+    table = np.zeros((h + 1, w + 1), dtype=np.int64)
+    np.cumsum(machine.free_mask.reshape(h, w), axis=0, out=table[1:, 1:])
+    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+    table = table.ravel()
+    # Half-open bounds of each anchor's clipped shell-<=s rectangle, one
+    # row per shell s; row bounds are scaled to flat table offsets.
+    s = np.arange(max(w, h))[:, None]
+    x0 = np.maximum(anchor_x - s, 0)
+    x1 = np.minimum(anchor_x + a + s, w)
+    y0 = np.maximum(anchor_y - s, 0) * (w + 1)
+    y1 = np.minimum(anchor_y + b + s, h) * (w + 1)
+    counts = (
+        table.take(y1 + x1)
+        - table.take(y0 + x1)
+        - table.take(y1 + x0)
+        + table.take(y0 + x0)
+    )
+    return np.maximum(k - counts, 0).sum(axis=0)
+
+
 class MCAllocator(Allocator):
     """MC (shaped shells) or MC1x1 (point shells) allocator.
 
@@ -113,29 +164,14 @@ class MCAllocator(Allocator):
         # clamped so the a x b rectangle stays inside the mesh.  Free
         # processors are in ascending node id, so cost ties resolve to the
         # lowest row-major centre.
-        anchor_x = np.clip(fx - (a - 1) // 2, 0, mesh.width - a)
-        anchor_y = np.clip(fy - (b - 1) // 2, 0, mesh.height - b)
-
-        # Shell number of every free node w.r.t. every anchor:
-        #   shell = max(axis distance outside the submesh interval).
-        dx = np.maximum(
-            np.maximum(anchor_x[:, None] - fx[None, :], 0),
-            fx[None, :] - (anchor_x[:, None] + a - 1),
-        )
-        dy = np.maximum(
-            np.maximum(anchor_y[:, None] - fy[None, :], 0),
-            fy[None, :] - (anchor_y[:, None] + b - 1),
-        )
-        shells = np.maximum(dx, dy)
-
-        # Cost = sum of the k smallest shell numbers (innermost-first greedy).
-        part = np.partition(shells, k - 1, axis=1)[:, :k]
-        costs = part.sum(axis=1)
-        best_anchor = int(np.argmin(costs))  # first min = lowest anchor
+        anchor_x = np.minimum(np.maximum(fx - (a - 1) // 2, 0), mesh.width - a)
+        anchor_y = np.minimum(np.maximum(fy - (b - 1) // 2, 0), mesh.height - b)
+        costs = _anchor_costs(machine, k, shape, anchor_x, anchor_y)
+        best = int(np.argmin(costs))  # first min = lowest anchor
 
         # Select the k free nodes for that anchor: by (shell, row-major id).
-        anchor_shells = shells[best_anchor]
-        order = np.lexsort((free, anchor_shells))
+        shells = shell_map(mesh, int(anchor_x[best]), int(anchor_y[best]), shape)
+        order = np.lexsort((free, shells[free]))
         nodes = free[order[:k]]
         return Allocation(job_id=request.job_id, nodes=nodes)
 
@@ -144,14 +180,13 @@ class MCAllocator(Allocator):
         machine: Machine, k: int, shape: tuple[int, int]
     ) -> dict[tuple[int, int], int]:
         """Cost of every anchor position (introspection/visualisation aid)."""
+        if machine.n_free < k:
+            raise ValueError("not enough free processors")
         mesh = machine.mesh
         a, b = shape
-        free = machine.free_nodes()
-        if len(free) < k:
-            raise ValueError("not enough free processors")
-        out: dict[tuple[int, int], int] = {}
-        for x in range(mesh.width - a + 1):
-            for y in range(mesh.height - b + 1):
-                sm = shell_map(mesh, x, y, shape)[free]
-                out[(x, y)] = int(np.partition(sm, k - 1)[:k].sum())
-        return out
+        if a > mesh.width or b > mesh.height:
+            return {}
+        xs = np.repeat(np.arange(mesh.width - a + 1), mesh.height - b + 1)
+        ys = np.tile(np.arange(mesh.height - b + 1), mesh.width - a + 1)
+        costs = _anchor_costs(machine, k, shape, xs, ys)
+        return {(int(x), int(y)): int(c) for x, y, c in zip(xs, ys, costs)}

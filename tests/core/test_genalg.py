@@ -87,6 +87,24 @@ class TestGenAlg:
             )
             assert got <= (2 - 2 / k) * best + 1e-9
 
+    def test_medoid_tie_keeps_member_order(self):
+        """Pin the rank order when several members tie for the medoid.
+
+        On an empty 4x4 mesh Gen-Alg picks column x = 1 plus the four
+        nodes beside its middle two, a set with two medoids, 5 and 9.
+        ``argpartition`` lists the members with 9 first, so 9 anchors the
+        rank order; sorting the members by id first would anchor it at 5
+        instead and change the simulated traffic of every such allocation.
+        """
+        mesh = Mesh2D(4, 4)
+        genalg = GenAlgAllocator()
+        a = genalg.allocate(Request(size=8, job_id=1), Machine(mesh))
+        assert a.nodes.tolist() == [9, 5, 8, 10, 13, 1, 4, 6]
+        totals = mesh.pairwise_manhattan(a.nodes).sum(axis=1)
+        assert sorted(a.nodes[totals == totals.min()].tolist()) == [5, 9]
+        by_id = genalg._order_by_medoid(mesh, genalg._keys(mesh), np.sort(a.nodes))
+        assert by_id.tolist() == [5, 1, 4, 6, 9, 8, 10, 13]
+
     @given(
         k=st.integers(1, 20),
         n_busy=st.integers(0, 40),
